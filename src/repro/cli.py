@@ -974,7 +974,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     print(
         f"exposure cache: {outcome.exposure_builds} population build(s), "
         f"{outcome.exposure_hits} cache hit(s), "
-        f"{outcome.exposure_disk_hits} disk hit(s)"
+        f"{outcome.exposure_disk_hits} disk hit(s), "
+        f"{outcome.campaign_reuses} recorded campaign(s) reused"
     )
     print(f"telemetry: {telemetry_path}")
     complete = counts["pending"] == 0 and counts["running"] == 0 and counts["failed"] == 0

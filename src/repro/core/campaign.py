@@ -35,7 +35,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.series import FigureData
-from ..sim.exposure import ExposureEngine, SharedExposure, default_engine
+from ..sim.exposure import (
+    ExposureEngine,
+    SharedExposure,
+    _monitor_key,
+    default_engine,
+)
 from ..sim.observation import (
     MonitorMode,
     MonitorSpec,
@@ -141,11 +146,17 @@ class CampaignConfig:
 class CampaignResult:
     """Everything a campaign produced.
 
-    ``population`` is the exposure engine's *shared* population: treat it
-    as read-only.  Advancing it directly (``population.day_view``) would
-    poison the cache entry for every other experiment on the same key —
-    the engine detects that and refuses to extend its day state; read
-    day views through the campaign's ``exposure`` instead.
+    A result is *shared* and read-only, like its ``population``: the
+    exposure entry it was recorded on memoises it, and every later campaign
+    with the same identity (fleet, days, collection flags, victim) on that
+    entry returns this very object.  Analyses only read it; mutating its
+    monitors, log or lists would change what those later campaigns see.
+
+    ``population`` is the exposure engine's shared population.  Advancing
+    it directly (``population.day_view``) would poison the cache entry for
+    every other experiment on the same key — the engine detects that and
+    refuses to extend its day state; read day views through the campaign's
+    ``exposure`` instead.
     """
 
     config: CampaignConfig
@@ -186,19 +197,20 @@ class MeasurementCampaign:
     mask come from the engine's keyed cache, so campaigns that share a
     population config and seed (the whole figure suite) share all of that
     work.  The campaign itself only varies the monitor-selection and union
-    step over the cached masks.
+    step over the cached masks — and a campaign the entry has already
+    recorded is not recorded again: :meth:`run` returns the memoised
+    (read-only) :class:`CampaignResult` and adopts its monitors and log.
     """
 
     def __init__(
         self,
         config: CampaignConfig,
         engine: Optional[ExposureEngine] = None,
-        mask_workers: Optional[int] = None,
     ) -> None:
         self.config = config
-        self.exposure = _campaign_exposure(config, engine)
+        self._engine = default_engine() if engine is None else engine
+        self.exposure = _campaign_exposure(config, self._engine)
         self.population = self.exposure.population
-        self._mask_workers = mask_workers
         self.monitors = [
             MonitoringRouter(
                 spec=spec,
@@ -218,8 +230,34 @@ class MeasurementCampaign:
             )
         self.log = ObservationLog()
 
+    def _memo_key(self, days: int) -> Tuple:
+        """What a recording depends on beyond the exposure entry's own key."""
+        config = self.config
+        return (
+            tuple(_monitor_key(spec) for spec in config.monitors),
+            config.days,
+            days,
+            config.collect_daily_ips,
+            config.collect_daily_peers,
+            config.include_victim_client,
+            config.victim_bandwidth_kbps,
+        )
+
     def run(self, days: Optional[int] = None) -> CampaignResult:
         days = self.config.days if days is None else days
+        key = self._memo_key(days)
+        recorded = self.exposure.recorded_campaign(key)
+        if recorded is not None:
+            self._engine.campaign_reuses += 1
+            self.monitors = recorded.monitors
+            self.victim = recorded.victim
+            self.log = recorded.log
+            return recorded
+        result = self._record(days)
+        self.exposure.remember_campaign(key, result)
+        return result
+
+    def _record(self, days: int) -> CampaignResult:
         cumulative_union_by_day: List[List[int]] = []
         monitor_specs = [m.spec for m in self.monitors]
         all_specs = list(monitor_specs)
@@ -233,9 +271,7 @@ class MeasurementCampaign:
         shard = getattr(self.exposure, "day_shard_size", 0) or days
         for start in range(0, days, shard):
             stop = min(start + shard, days)
-            self.exposure.prefetch_masks(
-                all_specs, stop, workers=self._mask_workers, start_day=start
-            )
+            self.exposure.prefetch_masks(all_specs, stop, start_day=start)
             for day in range(start, stop):
                 view = self.exposure.view(day)
                 masks = self.exposure.fleet_day_masks(monitor_specs, day)

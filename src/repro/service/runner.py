@@ -5,7 +5,9 @@
 1. re-pend any jobs a dead process left ``running`` (crash recovery);
 2. claim -> execute -> persist, job by job, with per-phase telemetry
    spans and an ``exposure.cache`` counter-delta event per job (the CI
-   gate sums these to prove a digest group built its population once);
+   gate sums these to prove a digest group built its population once and
+   recorded its campaign once — ``campaign_reuses`` counts the jobs that
+   reused a recording);
 3. on success record the result (deterministic run id, so resume is
    idempotent) and mark the job done; on failure hand the traceback to
    the queue's retry/dead-letter policy; on interrupt un-claim the
@@ -59,6 +61,8 @@ class GridRunResult:
     exposure_builds: int = 0
     exposure_hits: int = 0
     exposure_disk_hits: int = 0
+    #: Jobs served a campaign their engine had already recorded.
+    campaign_reuses: int = 0
     interrupted: bool = False
 
 
@@ -98,6 +102,7 @@ def _run_claimed(
         with telemetry.span("phase:resolve", job=job.name):
             spec = job.resolved_spec()
         hits0, misses0, disk0 = engine.hits, engine.misses, engine.disk_hits
+        reuses0 = engine.campaign_reuses
         with telemetry.span("phase:execute", job=job.name):
             delay = _job_delay()
             if delay:
@@ -108,6 +113,7 @@ def _run_claimed(
         builds = engine.misses - misses0
         hits = engine.hits - hits0
         disk_hits = engine.disk_hits - disk0
+        reuses = engine.campaign_reuses - reuses0
         telemetry.event(
             "exposure.cache",
             job=job.name,
@@ -115,6 +121,7 @@ def _run_claimed(
             builds=builds,
             hits=hits,
             disk_hits=disk_hits,
+            campaign_reuses=reuses,
         )
         wall = time.monotonic() - start
         with telemetry.span("phase:persist", job=job.name):
@@ -134,6 +141,7 @@ def _run_claimed(
             out.exposure_builds += builds
             out.exposure_hits += hits
             out.exposure_disk_hits += disk_hits
+            out.campaign_reuses += reuses
         if progress is not None:
             progress(f"[done] {job.name} -> run {run_id}")
     except (KeyboardInterrupt, SystemExit, GeneratorExit):

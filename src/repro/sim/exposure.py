@@ -42,13 +42,19 @@ marginal observation probabilities — and hence every calibrated figure shape
 — are unchanged.  In exchange, cached and rebuilt-from-scratch experiments
 are byte-identical, which `tests/sim/test_exposure.py` locks in.
 
+* **Recorded campaigns** — each entry also memoises the last few
+  :class:`~repro.core.campaign.CampaignResult` objects recorded on it,
+  keyed by the campaign's identity (fleet, days, collection flags, victim).
+  Experiments that differ only in how they *analyse* a campaign — a grid
+  sweeping a what-if's ``top_n`` or censor countries — record it once: the
+  masks are drawn, the day state decoded and the monitors fed a single
+  time, and every later job reuses the result (counted by
+  :attr:`ExposureEngine.campaign_reuses`).
+
 Cache invalidation is by eviction only: entries are immutable once built, a
 small LRU (default 4 keys) bounds memory, and :meth:`ExposureEngine.clear`
-drops everything.  An optional process-pool fan-out
-(:meth:`SharedExposure.prefetch_masks` with ``workers > 1``, or the
-``REPRO_EXPOSURE_WORKERS`` environment variable) computes per-monitor masks
-for large fleets in parallel; results are identical to the serial path
-because every mask has its own derived seed.
+drops everything.  Recorded campaigns live on their entry and go with it:
+entries hold no reference cycles, so eviction frees them at once.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +72,6 @@ from .population import DayView, I2PPopulation, PopulationConfig
 from .rng import derive_seed
 
 __all__ = [
-    "AUTO_WORKER_MONITOR_CROSSOVER",
     "CachedExposure",
     "ExposureEngine",
     "SharedExposure",
@@ -92,7 +97,7 @@ def _mask_stream_name(spec: MonitorSpec, day: int) -> str:
 def _draw_monitor_mask(
     observation_seed: int, spec: MonitorSpec, day: int, exposure: DayExposure
 ) -> np.ndarray:
-    """The pure per-(monitor, day) mask computation (also run in workers)."""
+    """The pure per-(monitor, day) mask computation."""
     probabilities = ObservationModel.observation_probabilities(exposure, spec)
     rng = np.random.default_rng(
         derive_seed(observation_seed, _mask_stream_name(spec, day))
@@ -100,88 +105,11 @@ def _draw_monitor_mask(
     return rng.random(probabilities.size) < probabilities
 
 
-# --------------------------------------------------------------------------- #
-# Optional process-pool fan-out
-# --------------------------------------------------------------------------- #
-#: Per-worker day exposure payload, installed by the pool initializer so each
-#: task only ships its (spec, day) tuple instead of the day arrays.
-_WORKER_EXPOSURES: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _pool_init(payload: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-    global _WORKER_EXPOSURES
-    _WORKER_EXPOSURES = payload
-
-
-def _pool_compute(
-    task: Tuple[int, str, str, float, int]
-) -> Tuple[str, str, float, int, np.ndarray, int]:
-    observation_seed, name, mode_value, kbps, day = task
-    flood, tunnel, visibility = _WORKER_EXPOSURES[day]
-    from .observation import MonitorMode  # local import keeps workers lean
-
-    spec = MonitorSpec(name, MonitorMode(mode_value), kbps)
-    exposure = DayExposure(flood, tunnel, visibility)
-    mask = _draw_monitor_mask(observation_seed, spec, day, exposure)
-    return (name, mode_value, kbps, day, np.packbits(mask), mask.size)
-
-
-def _parse_workers(value: object, source: str) -> int:
-    """Validate a worker count: non-negative integer, clear error otherwise."""
-    try:
-        workers = int(str(value))
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a non-negative integer "
-            f"(0 disables the process pool); got {value!r}"
-        ) from None
-    if workers < 0:
-        raise ValueError(
-            f"{source} must be a non-negative integer "
-            f"(0 disables the process pool); got {workers}"
-        )
-    return workers
-
-
-def _env_workers() -> Optional[int]:
-    """The ``REPRO_EXPOSURE_WORKERS`` override, or ``None`` when unset.
-
-    An explicit value — including ``0`` — always wins over the automatic
-    crossover policy.
-    """
-    value = os.environ.get("REPRO_EXPOSURE_WORKERS")
-    if value is None or value.strip() == "":
-        return None
-    return _parse_workers(value, "REPRO_EXPOSURE_WORKERS")
-
-
-#: Fleet size past which the process-pool fan-out pays for itself on a
-#: multi-core host.  Measured on the 1-CPU reference container (see
-#: ROADMAP): serial per-mask cost is ~0.4 ms (scale 1.0) to ~4 ms
-#: (scale 10) against ~0.10–0.15 s of fixed pool spawn plus ~0.4 ms of
-#: per-task dispatch, so with ≥ 4 effective workers the pool amortises its
-#: spawn once a prefetch covers ≥ 32 monitors; below 2 CPUs it can never
-#: win (measured speedup plateaus at 0.65–0.74×) and stays off.
-AUTO_WORKER_MONITOR_CROSSOVER = 32
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _auto_workers(monitor_count: int) -> int:
-    """Workers the crossover policy picks for a fleet of ``monitor_count``."""
-    cpus = _available_cpus()
-    if cpus < 2 or monitor_count < AUTO_WORKER_MONITOR_CROSSOVER:
-        return 0
-    return min(cpus, 8)
-
-
 class SharedExposure:
     """Read-only day state shared by every experiment over one cache key."""
+
+    #: Recorded campaigns memoised per entry, least recently used dropped.
+    _CAMPAIGN_MEMO = 4
 
     def __init__(
         self, population_config: PopulationConfig, observation_seed: int
@@ -196,6 +124,7 @@ class SharedExposure:
         )
         #: Bit-packed masks keyed by (monitor key, day).
         self._masks: Dict[Tuple[MonitorKey, int], Tuple[np.ndarray, int]] = {}
+        self._campaigns: "OrderedDict[Hashable, object]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Day materialisation
@@ -269,88 +198,20 @@ class SharedExposure:
         return masks
 
     def prefetch_masks(
-        self,
-        specs: Sequence[MonitorSpec],
-        days: int,
-        workers: Optional[int] = None,
-        min_tasks_per_worker: int = 4,
-        start_day: int = 0,
+        self, specs: Sequence[MonitorSpec], days: int, start_day: int = 0
     ) -> None:
         """Compute (and cache) the ``(spec, day)`` masks for days
-        ``[start_day, days)``, optionally in a process pool.
-
-        With ``workers=None`` the ``REPRO_EXPOSURE_WORKERS`` environment
-        variable wins when set (0 = serial); otherwise the measured
-        crossover policy decides — the pool switches on automatically for
-        fleets of ≥ :data:`AUTO_WORKER_MONITOR_CROSSOVER` monitors when at
-        least two CPUs are available.  Results are bit-for-bit identical to
-        the serial path — each mask has its own derived seed — so the pool
-        is a pure wall-time optimisation for large fleets.  Any pool
-        failure falls back to serial computation.  A non-integer or
-        negative worker count (explicit or via the environment variable)
-        raises ``ValueError`` up front.
+        ``[start_day, days)``.
 
         ``start_day`` lets streamed consumers prefetch one day-range shard
         at a time without re-deriving masks they already released.
         """
-        if workers is None:
-            env = _env_workers()
-            workers = _auto_workers(len(specs)) if env is None else env
-        else:
-            workers = _parse_workers(workers, "workers")
         self.ensure_days(days)
-        pending: List[Tuple[MonitorSpec, int]] = []
         for spec in specs:
             key = _monitor_key(spec)
             for day in range(start_day, days):
                 if (key, day) not in self._masks:
-                    pending.append((spec, day))
-        if not pending:
-            return
-        if workers > 1 and len(pending) >= workers * min_tasks_per_worker:
-            try:
-                self._prefetch_pool(pending, days, workers)
-                return
-            except Exception:  # pragma: no cover - pool availability varies
-                pass
-        for spec, day in pending:
-            self.monitor_day_mask(spec, day)
-
-    def _prefetch_pool(
-        self, pending: Sequence[Tuple[MonitorSpec, int]], days: int, workers: int
-    ) -> None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        global _WORKER_EXPOSURES
-
-        payload = {
-            day: (
-                np.asarray(self._exposures[day].flood_exposed),
-                np.asarray(self._exposures[day].tunnel_exposed),
-                np.asarray(self._exposures[day].visibility),
-            )
-            for day in sorted({day for _, day in pending})
-        }
-        tasks = [
-            (self.observation_seed, spec.name, spec.mode.value, float(spec.shared_kbps), day)
-            for spec, day in pending
-        ]
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Forked workers inherit the payload copy-on-write through the
-            # module global — no per-worker pickling of the day arrays.
-            _WORKER_EXPOSURES = payload
-            pool_kwargs = {"mp_context": multiprocessing.get_context("fork")}
-        else:  # pragma: no cover - spawn-only platforms
-            pool_kwargs = {"initializer": _pool_init, "initargs": (payload,)}
-        try:
-            with ProcessPoolExecutor(max_workers=workers, **pool_kwargs) as pool:
-                for name, mode_value, kbps, day, packed, count in pool.map(
-                    _pool_compute, tasks, chunksize=max(1, len(tasks) // (workers * 4))
-                ):
-                    self._masks[((name, mode_value, kbps), day)] = (packed, count)
-        finally:
-            _WORKER_EXPOSURES = {}
+                    self.monitor_day_mask(spec, day)
 
     # ------------------------------------------------------------------ #
     # Unions / coverage helpers
@@ -365,6 +226,22 @@ class SharedExposure:
         return ObservationModel.cumulative_union_sizes_from_masks(
             self.fleet_day_masks(specs, day)
         )
+
+    # ------------------------------------------------------------------ #
+    # Recorded campaigns
+    # ------------------------------------------------------------------ #
+    def recorded_campaign(self, key: Hashable) -> Optional[object]:
+        """The campaign result memoised under ``key``, or ``None``."""
+        result = self._campaigns.get(key)
+        if result is not None:
+            self._campaigns.move_to_end(key)
+        return result
+
+    def remember_campaign(self, key: Hashable, result: object) -> None:
+        """Memoise a recorded campaign; callers share it read-only."""
+        self._campaigns[key] = result
+        while len(self._campaigns) > self._CAMPAIGN_MEMO:
+            self._campaigns.popitem(last=False)
 
     # ------------------------------------------------------------------ #
     # Streaming hooks (real work only in CachedExposure)
@@ -442,14 +319,23 @@ class CachedExposure(SharedExposure):
         self.observation_seed = observation_seed
         self.population = population
         self._reader = reader
-        self.views = _LazyDays(reader.days, lambda day: self._day_state(day)[0])
-        self._exposures = _LazyDays(
-            reader.days, lambda day: self._day_state(day)[1]
-        )
         self._masks = {}
+        self._campaigns = OrderedDict()
         self._day_cache: "OrderedDict[int, Tuple[DayView, DayExposure]]" = (
             OrderedDict()
         )
+
+    # Built per access rather than stored: a stored façade whose fetch
+    # closes over ``self`` is a reference cycle, which would leave every
+    # restored entry (its memmaps, reader and memoised campaigns) to the
+    # cyclic garbage collector instead of freeing it on eviction.
+    @property
+    def views(self) -> Sequence[DayView]:
+        return _LazyDays(self._reader.days, lambda day: self._day_state(day)[0])
+
+    @property
+    def _exposures(self) -> Sequence[DayExposure]:
+        return _LazyDays(self._reader.days, lambda day: self._day_state(day)[1])
 
     # ------------------------------------------------------------------ #
     @property
@@ -698,6 +584,8 @@ class ExposureEngine:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
+        #: Campaign runs served from an entry's recorded-campaign memo.
+        self.campaign_reuses = 0
         #: Days already persisted per key (avoids rewriting unchanged files).
         self._persisted_days: Dict[Tuple[PopulationConfig, int], int] = {}
         #: In-flight background saves per key: (thread, days being saved).

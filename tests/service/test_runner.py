@@ -1,8 +1,11 @@
 """Grid runner: shared builds, resume semantics, retries, multi-worker."""
 
+import hashlib
+
 import pytest
 
 from repro.core import run_scenario
+from repro.core.campaign import campaign_observation_seed, scaled_population_config
 from repro.service import (
     GridAxis,
     GridSpec,
@@ -166,3 +169,54 @@ class TestMultiWorker:
         plan, db = enqueue(tmp_path, sweep_spec())
         with pytest.raises(ValueError, match="workers"):
             execute_grid(db, plan.grid_id, engine_factory_for(tmp_path), workers=0)
+
+
+class TestCampaignReuse:
+    """Analysis-only what-ifs record their shared campaign once per engine."""
+
+    #: sha256 of ``export_bytes`` for the grid below, computed with the
+    #: pre-memo campaign loop (every job recorded its own campaign).
+    GOLDEN_EXPORT = "113aaa28270738f17ea4292b27f9c20d7bcfc168228bc202c955ed158a9b35e5"
+
+    @staticmethod
+    def prefix_spec():
+        return GridSpec(
+            scenario="prefix-blocking",
+            axes=(GridAxis("params.top_n", (1, 2, 3, 4)),),
+            scale=0.05,
+        )
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["fresh", "restored"])
+    def test_grid_records_once_and_matches_golden(self, tmp_path, restored):
+        spec = self.prefix_spec()
+        cache = tmp_path / "exposure-cache"
+        if restored:
+            ExposureEngine(cache_dir=cache, background_writes=False).get(
+                scaled_population_config(spec.scale, days=10, seed=spec.seed),
+                campaign_observation_seed(spec.seed),
+                days=10,
+            )
+        plan, db = enqueue(tmp_path, spec)
+        trace = tmp_path / "trace.jsonl"
+        with Telemetry(trace) as telemetry:
+            result = execute_grid(
+                db, plan.grid_id, engine_factory_for(tmp_path), telemetry=telemetry
+            )
+        assert result.done == 4
+        assert result.campaign_reuses == 3
+        assert result.exposure_builds == (0 if restored else 1)
+        events = [r for r in read_events(trace) if r.get("name") == "exposure.cache"]
+        assert sum(int(r["campaign_reuses"]) for r in events) == 3
+        with ResultStore(db) as store:
+            exported = store.export_bytes(plan.grid_id)
+            assert hashlib.sha256(exported).hexdigest() == self.GOLDEN_EXPORT
+            runs = {run["job_name"]: run for run in store.runs(plan.grid_id)}
+            for job in plan.jobs:
+                standalone = run_scenario(
+                    job.resolved_spec(),
+                    scale=job.scale,
+                    seed=job.seed,
+                    engine=ExposureEngine(),
+                )
+                stored = store.payload_text(runs[job.name]["summary_sha"])
+                assert stored == canonical_json(summary_payload(standalone))

@@ -13,10 +13,8 @@ import pytest
 from repro.core import run_scenario
 from repro.core.campaign import run_main_campaign
 from repro.core.reporting import render_campaign_summary, render_table1
-from repro.sim import exposure as exposure_mod
 from repro.sim.columns import MemmapPeerColumns, PeerColumns
 from repro.sim.exposure import (
-    AUTO_WORKER_MONITOR_CROSSOVER,
     ExposureEngine,
     parse_byte_size,
 )
@@ -154,59 +152,6 @@ class TestMemmapPeerColumns:
         _, store = self._restored_store(tmp_path)
         with pytest.raises(AttributeError, match="only persists"):
             store.records_by_country
-
-
-class TestAutoWorkerPolicy:
-    def test_single_cpu_never_uses_the_pool(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 1)
-        assert exposure_mod._auto_workers(1000) == 0
-
-    def test_small_fleet_stays_serial_even_with_cpus(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 8)
-        assert (
-            exposure_mod._auto_workers(AUTO_WORKER_MONITOR_CROSSOVER - 1) == 0
-        )
-
-    def test_large_fleet_enables_the_pool_on_multicore(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 4)
-        assert (
-            exposure_mod._auto_workers(AUTO_WORKER_MONITOR_CROSSOVER) == 4
-        )
-
-    def test_worker_count_is_capped(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 64)
-        assert exposure_mod._auto_workers(1000) == 8
-
-    def test_env_override_wins_over_auto(self, monkeypatch):
-        monkeypatch.setattr(exposure_mod, "_available_cpus", lambda: 8)
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "0")
-        assert exposure_mod._env_workers() == 0
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "3")
-        assert exposure_mod._env_workers() == 3
-
-    def test_bad_env_worker_count_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "-1")
-        with pytest.raises(ValueError, match="REPRO_EXPOSURE_WORKERS"):
-            exposure_mod._env_workers()
-        monkeypatch.setenv("REPRO_EXPOSURE_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_EXPOSURE_WORKERS"):
-            exposure_mod._env_workers()
-
-    def test_pooled_prefetch_matches_serial(self, tmp_path):
-        from repro.core.campaign import scaled_population_config, standard_monitor_fleet
-
-        config = scaled_population_config(0.02, days=3, seed=31)
-        serial = ExposureEngine().get(config, 7, days=3)
-        pooled = ExposureEngine().get(config, 7, days=3)
-        fleet = standard_monitor_fleet(3, 3, 512.0)
-        serial.prefetch_masks(fleet, 3, workers=0)
-        pooled.prefetch_masks(fleet, 3, workers=2)
-        for spec in fleet:
-            for day in range(3):
-                np.testing.assert_array_equal(
-                    serial.monitor_day_mask(spec, day),
-                    pooled.monitor_day_mask(spec, day),
-                )
 
 
 class TestParseByteSize:
