@@ -111,6 +111,7 @@ from .core import (
     unknown_ip_figure,
     usability_curve,
 )
+from .core.campaign import validate_scale
 from .core.scenario import ScenarioResult
 from .sim import ExposureEngine, I2PPopulation, PopulationConfig
 from .sim import exposure_cache
@@ -1162,6 +1163,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = commands.get(args.command)
     if handler is None:
         parser.error(f"unknown command {args.command!r}")
+        return 2
+    try:
+        validate_scale(args.scale)
+    except ValueError as error:
+        print(error.args[0], file=sys.stderr)
         return 2
     provider = None
     building_db = args.command == "geo" and args.geo_action == "build-db"

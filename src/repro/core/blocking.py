@@ -13,28 +13,35 @@ The *blocking rate* is the fraction of the victim's known peer IPs that
 also appear in the censor's blacklist — precisely the paper's metric
 ("the rate of peer IP addresses seen in the netDb of the victim, which can
 also be found in the netDb of routers that are controlled by the censor").
+
+Blacklists and the victim's netDb are id arrays over the campaign's
+:class:`~repro.core.monitor.AddressTable`, so every rate is a
+``count_nonzero`` over boolean masks; :func:`censor_blacklist` and
+:func:`victim_known_ips` decode to ``Set[str]`` for callers that want
+address strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..analysis.series import FigureData
-from ..enrichment.base import GeoProvider, ipv4_to_int
+from ..enrichment.base import GeoProvider
 from ..enrichment.provider import resolve_provider
 from ..enrichment.radix import PrefixIndex
 from ..sim.geo import GeoRegistry
 from .campaign import CampaignResult
-from .monitor import MonitoringRouter
+from .monitor import MonitoringRouter, shared_address_table
 
 __all__ = [
     "BlockingAssessment",
     "CensorProfile",
     "blocking_rate",
     "censor_blacklist",
+    "censor_last_seen",
     "victim_known_ips",
     "blocking_assessment",
     "blocking_curve",
@@ -62,6 +69,30 @@ def _validate_router_count(
         )
 
 
+def censor_last_seen(
+    monitors: Sequence[MonitoringRouter],
+    router_count: int,
+    evaluation_day: int,
+    window_days: int,
+    seen: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per address id of the monitors' shared table: the latest day in the
+    ``window_days`` days ending on ``evaluation_day`` on which any of the
+    censor's first ``router_count`` routers observed it, else -1.
+
+    ``seen`` (an earlier result) is folded in; ``>= 0`` is the blacklist
+    as a mask over ids.  The array covers every id interned before it was
+    built; callers intern the ids they test against it first.
+    """
+    _validate_router_count(monitors, router_count)
+    censors = monitors[:router_count]
+    shared_address_table(censors)
+    for monitor in censors:
+        seen = monitor.last_seen(evaluation_day, window_days, seen)
+    assert seen is not None
+    return seen
+
+
 def censor_blacklist(
     monitors: Sequence[MonitoringRouter],
     router_count: int,
@@ -70,11 +101,8 @@ def censor_blacklist(
 ) -> Set[str]:
     """The censor's blacklist using its first ``router_count`` routers and a
     ``window_days``-day retention window ending on ``evaluation_day``."""
-    _validate_router_count(monitors, router_count)
-    blacklist: Set[str] = set()
-    for monitor in monitors[:router_count]:
-        blacklist.update(monitor.ips_in_window(evaluation_day, window_days))
-    return blacklist
+    seen = censor_last_seen(monitors, router_count, evaluation_day, window_days)
+    return monitors[0].addresses.decode(np.flatnonzero(seen >= 0))
 
 
 def victim_known_ips(
@@ -113,6 +141,20 @@ class BlockingAssessment:
         }
 
 
+def _percent(count: int, total: int) -> float:
+    return (count / total * 100.0) if total else 0.0
+
+
+def _validate_windows(windows: Sequence[int]) -> Tuple[int, ...]:
+    checked = tuple(windows)
+    if not checked:
+        raise ValueError("at least one blacklist window is required")
+    for window in checked:
+        if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window <= 0:
+            raise ValueError(f"blacklist windows must be positive integers (got {window!r})")
+    return tuple(int(window) for window in checked)
+
+
 def blocking_assessment(
     result: CampaignResult,
     router_count: int,
@@ -125,19 +167,21 @@ def blocking_assessment(
         raise ValueError("the campaign was run without a victim client")
     if evaluation_day is None:
         evaluation_day = len(result.log.daily) - 1
-    censor_ips = censor_blacklist(
-        result.monitors, router_count, evaluation_day, window_days
+    shared_address_table([result.victim, *result.monitors[:router_count]])
+    victim_ids = result.victim.address_ids_in_window(evaluation_day, victim_history_days)
+    blacklist = (
+        censor_last_seen(result.monitors, router_count, evaluation_day, window_days) >= 0
     )
-    victim_ips = victim_known_ips(result.victim, evaluation_day, victim_history_days)
-    blocked = censor_ips & victim_ips
+    victim_count = int(victim_ids.size)
+    blocked = int(np.count_nonzero(blacklist[victim_ids]))
     return BlockingAssessment(
         router_count=router_count,
         window_days=window_days,
         evaluation_day=evaluation_day,
-        censor_ip_count=len(censor_ips),
-        victim_ip_count=len(victim_ips),
-        blocked_ip_count=len(blocked),
-        rate=blocking_rate(censor_ips, victim_ips),
+        censor_ip_count=int(np.count_nonzero(blacklist)),
+        victim_ip_count=victim_count,
+        blocked_ip_count=blocked,
+        rate=(blocked / victim_count) if victim_count else 0.0,
     )
 
 
@@ -150,22 +194,19 @@ def blocking_curve(
 ) -> FigureData:
     """Figure 13: blocking rate vs censor routers, one series per window.
 
-    Blacklists are accumulated incrementally in fleet order, so evaluating
-    N router counts costs one window union per monitor instead of N;
-    points are emitted in the caller's ``router_counts`` order.
+    The censor's fleet is folded in fleet order into one array holding,
+    per address id, the latest day any router so far observed it within
+    the longest window; each (router count, window) rate is then one
+    comparison over the victim's ids.  Points are emitted in the caller's
+    ``router_counts`` order.
     """
+    windows = _validate_windows(windows)
     if result.victim is None:
         raise ValueError("the campaign was run without a victim client")
     if router_counts is None:
         router_counts = list(range(1, len(result.monitors) + 1))
     if evaluation_day is None:
         evaluation_day = len(result.log.daily) - 1
-    max_window = max(windows)
-    if evaluation_day + 1 < max_window:
-        # Not enough history for the longest window; windows simply use
-        # whatever history exists (same behaviour as a censor that started
-        # collecting late).
-        pass
 
     figure = FigureData(
         figure_id="figure_13",
@@ -173,9 +214,10 @@ def blocking_curve(
         x_label="routers under censor control",
         y_label="blocking rate (%)",
     )
-    victim_ips = victim_known_ips(result.victim, evaluation_day, victim_history_days)
+    victim_ids = result.victim.address_ids_in_window(evaluation_day, victim_history_days)
+    total = int(victim_ids.size)
     figure.add_note(
-        f"victim netDb: {len(victim_ips)} peer IPs "
+        f"victim netDb: {total} peer IPs "
         f"(history window {victim_history_days} days, evaluation day {evaluation_day + 1})"
     )
     counts = [int(count) for count in router_counts]
@@ -183,19 +225,24 @@ def blocking_curve(
         _validate_router_count(result.monitors, count)
     wanted = set(counts)
     max_count = max(counts, default=0)
-    for window in windows:
+    censors = result.monitors[:max_count]
+    shared_address_table([result.victim, *censors])
+    # A window keeps the days from max(0, evaluation_day - window + 1) on.
+    thresholds = [max(0, evaluation_day - window + 1) for window in windows]
+    seen: Optional[np.ndarray] = None
+    rates: Dict[int, List[float]] = {}
+    for count, monitor in enumerate(censors, start=1):
+        seen = monitor.last_seen(evaluation_day, max(windows), seen)
+        if count in wanted:
+            victim_seen = seen[victim_ids]
+            rates[count] = [
+                _percent(int(np.count_nonzero(victim_seen >= threshold)), total)
+                for threshold in thresholds
+            ]
+    for index, window in enumerate(windows):
         series = figure.new_series(f"{window} day" + ("s" if window > 1 else ""))
-        # Stream the blacklist incrementally: each additional censor router
-        # adds its window union once, instead of rebuilding the full union
-        # from scratch at every router count.
-        blacklist: Set[str] = set()
-        rates: Dict[int, float] = {}
-        for count, monitor in enumerate(result.monitors[:max_count], start=1):
-            blacklist |= monitor.ips_in_window(evaluation_day, window)
-            if count in wanted:
-                rates[count] = blocking_rate(blacklist, victim_ips) * 100.0
         for count in counts:
-            series.add(count, rates[count])
+            series.add(count, rates[count][index])
     return figure
 
 
@@ -240,10 +287,8 @@ def country_blocking_curve(
     for rank, country in enumerate(countries, start=1):
         in_country = {ip for ip, code in country_of.items() if code == country}
         blocked_cumulative |= in_country
-        per_country.add(rank, (len(in_country) / total * 100.0) if total else 0.0)
-        cumulative.add(
-            rank, (len(blocked_cumulative) / total * 100.0) if total else 0.0
-        )
+        per_country.add(rank, _percent(len(in_country), total))
+        cumulative.add(rank, _percent(len(blocked_cumulative), total))
     figure.add_note(
         "countries by rank: "
         + " ".join(f"{rank}:{code}" for rank, code in enumerate(countries, start=1))
@@ -314,16 +359,12 @@ def prefix_blocking_curve(
     if evaluation_day is None:
         evaluation_day = len(result.log.daily) - 1
     profiles = censor_profiles(countries, registry, provider)
-    victim_ips = victim_known_ips(result.victim, evaluation_day, victim_history_days)
-    total = len(victim_ips)
+    victim_ids = result.victim.address_ids_in_window(evaluation_day, victim_history_days)
+    total = int(victim_ids.size)
     # IPv6 addresses fall outside an IPv4 prefix block: they stay reachable
     # and only contribute to the denominator.
-    addr_values = [
-        value
-        for value in (ipv4_to_int(ip) for ip in sorted(victim_ips))
-        if value is not None
-    ]
-    addrs = np.asarray(addr_values, dtype=np.uint32)
+    values = result.victim.addresses.ipv4_values()[victim_ids]
+    addrs = values[values >= 0].astype(np.uint32)
 
     figure = FigureData(
         figure_id="scenario_prefix_blocking",
@@ -344,12 +385,8 @@ def prefix_blocking_curve(
             own = np.zeros(addrs.size, dtype=bool)
         blocked |= own
         prefix_cursor += profile.prefix_count
-        per_censor.add(
-            prefix_cursor, (int(own.sum()) / total * 100.0) if total else 0.0
-        )
-        cumulative.add(
-            prefix_cursor, (int(blocked.sum()) / total * 100.0) if total else 0.0
-        )
+        per_censor.add(prefix_cursor, _percent(int(own.sum()), total))
+        cumulative.add(prefix_cursor, _percent(int(blocked.sum()), total))
         labels.append(f"{rank}:{profile.country}({profile.prefix_count})")
     figure.add_note("censors by rank (prefixes): " + " ".join(labels))
     figure.add_note(

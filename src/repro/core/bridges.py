@@ -16,11 +16,14 @@ finished measurement campaign:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
+
+import numpy as np
 
 from ..analysis.series import FigureData
-from .blocking import censor_blacklist
+from .blocking import censor_last_seen
 from .campaign import CampaignResult
+from .monitor import shared_address_table
 
 __all__ = [
     "BridgePoolSummary",
@@ -81,41 +84,38 @@ def bridge_pool_summary(
     The candidate pool is assessed against the *union* of all monitoring
     observations for that day (the best available approximation of the
     daily online population), while the censor uses only its first
-    ``censor_routers`` routers and its blacklist window.  The per-peer
-    walk streams off the observation log's accumulator arrays
-    (:meth:`ObservationLog.known_ip_presence_on`); no per-peer aggregates
-    are materialised for columnar runs.
+    ``censor_routers`` routers and its blacklist window.  Each online
+    known-IP peer's campaign address ids
+    (:meth:`ObservationLog.known_ip_presence_on`) are tested against the
+    blacklist mask in one segmented pass; no per-peer aggregates or address
+    sets are materialised for columnar runs.
     """
     if evaluation_day is None:
         evaluation_day = len(result.log.daily) - 1
-    blacklist = censor_blacklist(
-        result.monitors, censor_routers, evaluation_day, blacklist_window_days
+    # The peers' addresses are interned before the blacklist mask is sized.
+    first_days, addresses = result.log.known_ip_presence_on(evaluation_day)
+    blacklist = (
+        censor_last_seen(
+            result.monitors, censor_routers, evaluation_day, blacklist_window_days
+        )
+        >= 0
     )
-
-    unblocked = 0
-    unblocked_new = 0
-    unblocked_old = 0
+    shared_address_table([result.log, *result.monitors[:censor_routers]])
     firewalled_pool = result.log.daily[evaluation_day].firewalled_peers
 
-    first_days, address_sets = result.log.known_ip_presence_on(evaluation_day)
-    total_known_ip = len(address_sets)
-    for first_day, peer_ips in zip(first_days.tolist(), address_sets):
-        if peer_ips & blacklist:
-            continue
-        unblocked += 1
-        if evaluation_day - first_day <= new_peer_age_days:
-            unblocked_new += 1
-        else:
-            unblocked_old += 1
+    unblocked = ~addresses.blocked_by(blacklist)
+    newly_joined = evaluation_day - first_days <= new_peer_age_days
+    unblocked_new = int(np.count_nonzero(unblocked & newly_joined))
+    unblocked_count = int(np.count_nonzero(unblocked))
 
     return BridgePoolSummary(
         evaluation_day=evaluation_day,
         censor_routers=censor_routers,
         blacklist_window_days=blacklist_window_days,
-        total_online_known_ip=total_known_ip,
-        unblocked_known_ip=unblocked,
+        total_online_known_ip=len(addresses),
+        unblocked_known_ip=unblocked_count,
         unblocked_newly_joined=unblocked_new,
-        unblocked_long_lived=unblocked_old,
+        unblocked_long_lived=unblocked_count - unblocked_new,
         firewalled_pool=firewalled_pool,
     )
 
@@ -137,7 +137,7 @@ def bridge_survival_curve(
         cohort_day = max(0, len(result.log.daily) - horizon_days - 1)
     last_day = min(len(result.log.daily) - 1, cohort_day + horizon_days)
 
-    cohort: List[Set[str]] = result.log.known_ip_cohort_addresses(cohort_day)
+    cohort = result.log.known_ip_cohort(cohort_day)
     figure = FigureData(
         figure_id="ablation_bridges",
         title="Survival of newly joined peers as censorship bridges",
@@ -149,11 +149,17 @@ def bridge_survival_curve(
         figure.add_note("empty cohort: no newly joined peers on the cohort day")
         return figure
 
-    for day in range(cohort_day, last_day + 1):
-        blacklist = censor_blacklist(
-            result.monitors, censor_routers, day, blacklist_window_days
-        )
-        surviving = sum(1 for peer_ips in cohort if not (peer_ips & blacklist))
+    shared_address_table([result.log, *result.monitors[:censor_routers]])
+    # Walk the days in order, folding each day's censor observations into
+    # one latest-day-seen array: on day d it holds no day past d, so the
+    # blacklist is every id seen since the window opened.
+    seen: Optional[np.ndarray] = None
+    for day in range(max(0, cohort_day - blacklist_window_days + 1), last_day + 1):
+        seen = censor_last_seen(result.monitors, censor_routers, day, 1, seen)
+        if day < cohort_day:
+            continue
+        blacklist = seen >= max(0, day - blacklist_window_days + 1)
+        surviving = len(cohort) - int(np.count_nonzero(cohort.blocked_by(blacklist)))
         series.add(day - cohort_day, surviving / len(cohort) * 100.0)
     figure.add_note(
         f"cohort: {len(cohort)} peers first observed on day {cohort_day + 1}; "

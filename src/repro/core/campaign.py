@@ -29,6 +29,7 @@ byte-identical at a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +52,7 @@ from ..sim.population import I2PPopulation, PopulationConfig
 from ..sim.rng import derive_seed
 from .capacity_analysis import bandwidth_breakdown, flag_distribution
 from .churn_analysis import IpChurnSummary, ip_churn, longevity
-from .monitor import MonitoringRouter, ObservationLog
+from .monitor import AddressTable, MonitoringRouter, ObservationLog
 
 __all__ = [
     "FULL_SCALE_DAILY_POPULATION",
@@ -61,6 +62,7 @@ __all__ = [
     "MeasurementCampaign",
     "campaign_observation_seed",
     "scaled_population_config",
+    "validate_scale",
     "single_router_experiment",
     "bandwidth_sweep",
     "router_count_sweep",
@@ -76,6 +78,21 @@ FULL_SCALE_DAILY_POPULATION = 30_500
 MONITOR_BANDWIDTH_KBPS = 8_000.0
 
 
+def validate_scale(scale: object) -> float:
+    """``scale`` as a float, or ``ValueError`` unless it is finite and > 0.
+
+    The one scale check: the library, the grid planner and the CLI all
+    call it, so a bad ``--scale`` is a one-line usage error everywhere.
+    """
+    try:
+        value = float(scale)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ValueError(f"scale must be a number (got {scale!r})") from None
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"scale must be a positive finite number (got {scale!r})")
+    return value
+
+
 def scaled_population_config(
     scale: float = 1.0,
     days: int = 90,
@@ -89,8 +106,7 @@ def scaled_population_config(
     pass the suite-wide horizon here so their population configs — and
     therefore their cache keys — coincide.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    scale = validate_scale(scale)
     horizon = days if horizon_days is None else max(days, horizon_days)
     return PopulationConfig(
         target_daily_population=max(200, int(round(FULL_SCALE_DAILY_POPULATION * scale))),
@@ -211,11 +227,15 @@ class MeasurementCampaign:
         self._engine = default_engine() if engine is None else engine
         self.exposure = _campaign_exposure(config, self._engine)
         self.population = self.exposure.population
+        # One interned address table for the whole campaign: the censor
+        # analyses compare monitor, victim and log addresses as ids.
+        addresses = AddressTable()
         self.monitors = [
             MonitoringRouter(
                 spec=spec,
                 collect_daily_ips=config.collect_daily_ips,
                 collect_daily_peers=config.collect_daily_peers,
+                addresses=addresses,
             )
             for spec in config.monitors
         ]
@@ -227,8 +247,9 @@ class MeasurementCampaign:
                 ),
                 collect_daily_ips=True,
                 collect_daily_peers=True,
+                addresses=addresses,
             )
-        self.log = ObservationLog()
+        self.log = ObservationLog(addresses)
 
     def _memo_key(self, days: int) -> Tuple:
         """What a recording depends on beyond the exposure entry's own key."""

@@ -28,101 +28,238 @@ bridges, blocking — consumes the accumulator arrays directly through the
 materialised compatibility view (:attr:`ObservationLog.peers`) for tests
 and external callers.  Snapshot-backed views fall back to the original
 row-oriented loop, which the equivalence tests use as the reference.
+
+Addresses are interned once per campaign in an :class:`AddressTable`
+shared by the monitors, the victim client and the log: a monitor's daily
+IPs are ``(day, packed mask)`` entries over the table's day arrays, and
+per-peer address histories are id arrays (:class:`PeerAddresses`), so the
+censor analyses (blacklists, bridges, the victim's netDb) run as NumPy
+bitmap arithmetic and build no ``Set[str]``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from ..enrichment.base import ipv4_to_int
 from ..sim.columns import TIER_ORDER, PeerColumns
 from ..sim.observation import MonitorMode, MonitorSpec
 from ..sim.peer import PeerDaySnapshot
 from ..sim.population import DayView
 
 __all__ = [
+    "AddressTable",
+    "DailyIpSets",
     "MonitoringRouter",
+    "PeerAddresses",
     "PeerObservationAggregate",
     "DailyStats",
     "ObservationLog",
+    "ip_set_materialisations",
+    "reset_ip_set_materialisations",
+    "shared_address_table",
 ]
 
 
-class DailyIpSets(Sequence):
-    """List-like container of per-day observed-IP sets, materialised lazily.
+#: Running count of ``Set[str]`` address sets decoded from an
+#: :class:`AddressTable`.  The censor analyses work on interned ids, so a
+#: campaign's analyses leave it at zero (the tests enforce it).
+_IP_SET_MATERIALISATIONS = 0
 
-    The columnar recording path appends a *deferred* entry — the day's
-    shared IP/IPv6 arrays plus a bit-packed observation mask — instead of
-    hashing ~16K strings per monitor per day into a set nobody may ever
-    read.  Indexing materialises (and caches) the real ``Set[str]``, so
-    consumers like :meth:`MonitoringRouter.ips_in_window` see ordinary
-    sets.  The row-oriented path appends plain sets directly.
+
+def ip_set_materialisations() -> int:
+    """Address sets decoded to ``Set[str]`` since the last reset."""
+    return _IP_SET_MATERIALISATIONS
+
+
+def reset_ip_set_materialisations() -> None:
+    global _IP_SET_MATERIALISATIONS
+    _IP_SET_MATERIALISATIONS = 0
+
+
+class AddressTable:
+    """Campaign-wide interned address table: one dense int id per address.
+
+    A campaign's monitors, victim client and observation log share one
+    table, so blacklists, the victim's netDb and per-peer address histories
+    are id arrays over a single universe.  Recording only *registers* a
+    day's IP/IPv6 arrays (by reference, or as a loader for disk-backed
+    days); a day is interned on first use, once however many monitors
+    recorded it.  ``None`` (an unset IPv6 slot) interns to ``-1``.
     """
 
     def __init__(self) -> None:
-        self._items: List[object] = []
-
-    def append(self, ip_set: Set[str]) -> None:
-        self._items.append(ip_set)
-
-    def append_deferred(
-        self,
-        ip_array: np.ndarray,
-        ipv6_array: np.ndarray,
-        packed_mask: np.ndarray,
-        count: int,
-    ) -> None:
-        self._items.append((ip_array, ipv6_array, packed_mask, count))
-
-    def append_lazy(
-        self,
-        loader: Callable[[], Tuple[np.ndarray, np.ndarray]],
-        packed_mask: np.ndarray,
-        count: int,
-    ) -> None:
-        """Deferred entry for *streamed* (disk-backed) day views.
-
-        ``loader`` re-reads the day's IP/IPv6 arrays from the exposure
-        bundle on materialisation, so recording a day pins only the
-        bit-packed mask — not the decoded address columns — and a
-        100×-scale campaign's IP sets cost disk reads, not resident RAM.
-        """
-        self._items.append((loader, packed_mask, count))
-
-    def _materialise(self, index: int) -> Set[str]:
-        item = self._items[index]
-        if isinstance(item, set):
-            return item
-        if len(item) == 3:  # type: ignore[arg-type]
-            loader, packed_mask, count = item  # type: ignore[misc]
-            ip_array, ipv6_array = loader()
-        else:
-            ip_array, ipv6_array, packed_mask, count = item  # type: ignore[misc]
-        mask = np.unpackbits(packed_mask, count=count).view(bool)
-        ips: Set[str] = set(ip_array[mask].tolist())
-        ipv6 = ipv6_array[mask]
-        ips.update(ipv6[np.not_equal(ipv6, None)].tolist())
-        ips.discard(None)  # type: ignore[arg-type]
-        self._items[index] = ips
-        return ips
+        # A missing key takes the next id from the counter, so interning is
+        # one C-level ``map`` over the addresses; None is pinned to -1.
+        self._ids: Dict[Optional[str], int] = defaultdict(itertools.count().__next__)
+        self._ids[None] = -1
+        self._labels: List[str] = []
+        self._ipv4 = np.empty(0, dtype=np.int64)
+        self._sources: Dict[int, object] = {}
+        self._day_ids: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._store: Optional[PeerColumns] = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._ids) - 1
 
-    def __getitem__(self, index):  # type: ignore[override]
-        if isinstance(index, slice):
-            return [self._materialise(i) for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self._items)
-        if not 0 <= index < len(self._items):
-            raise IndexError("day index out of range")
-        return self._materialise(index)
+    def intern(self, addresses: Collection[Optional[str]]) -> np.ndarray:
+        """Ids of ``addresses``, new ones numbered in first-seen order."""
+        return np.fromiter(
+            map(self._ids.__getitem__, addresses), dtype=np.int32, count=len(addresses)
+        )
+
+    def register_day(self, store: PeerColumns, day: int, source: object) -> None:
+        """Register day ``day``'s ``(ip, ipv6, valid_ip)`` columns, or a
+        loader returning them, for interning on first use."""
+        if self._store is None:
+            self._store = store
+        elif store is not self._store:
+            raise ValueError(
+                "address table already holds days of a different population"
+            )
+        if day not in self._day_ids:
+            self._sources.setdefault(day, source)
+
+    def day_ids(self, day: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Day ``day``'s usable addresses as ``(rows, ids)``: the online-peer
+        row and address id of every set IP and IPv6 slot of a peer with a
+        valid address (the only ones a monitor records)."""
+        interned = self._day_ids.get(day)
+        if interned is None:
+            source = self._sources.pop(day)
+            ip, ipv6, valid = source() if callable(source) else source
+            present = [valid & np.not_equal(column, None) for column in (ip, ipv6)]
+            rows = np.concatenate([np.flatnonzero(mask) for mask in present])
+            addresses = np.concatenate([ip[present[0]], ipv6[present[1]]])
+            interned = (rows, self.intern(addresses.tolist()))
+            self._day_ids[day] = interned
+        return interned
+
+    def _synced_labels(self) -> List[str]:
+        if len(self._labels) < len(self):
+            self._labels.extend(
+                itertools.islice(self._ids, len(self._labels) + 1, None)
+            )
+        return self._labels
+
+    def decode(self, ids: np.ndarray) -> Set[str]:
+        """The address strings behind ``ids`` (counted: see
+        :func:`ip_set_materialisations`)."""
+        global _IP_SET_MATERIALISATIONS
+        _IP_SET_MATERIALISATIONS += 1
+        labels = self._synced_labels()
+        return {labels[i] for i in ids.tolist()}
+
+    def ipv4_values(self) -> np.ndarray:
+        """Per id: the IPv4 address as an integer, or -1 for IPv6.
+
+        Extended as the table grows, so each address is parsed once per
+        table, however many analyses ask.
+        """
+        done = self._ipv4.size
+        if done < len(self):
+            parsed = (ipv4_to_int(a) for a in self._synced_labels()[done:])
+            fresh = np.array([-1 if v is None else v for v in parsed], dtype=np.int64)
+            self._ipv4 = np.concatenate((self._ipv4, fresh))
+        return self._ipv4
+
+
+def shared_address_table(owners: Iterable[object]) -> AddressTable:
+    """The one :class:`AddressTable` that every owner (monitor, victim,
+    log) records into; id arrays from different tables do not mix."""
+    tables = {id(owner.addresses): owner.addresses for owner in owners}  # type: ignore[attr-defined]
+    if len(tables) != 1:
+        raise ValueError(
+            "monitors, victim and log must record into one address table"
+        )
+    return tables.popitem()[1]
+
+
+def _fit(seen: Optional[np.ndarray], size: int) -> np.ndarray:
+    """``seen`` grown to ``size`` entries, new entries -1 (never seen)."""
+    if seen is not None and seen.size >= size:
+        return seen
+    grown = np.full(size, -1, dtype=np.int32)
+    if seen is not None:
+        grown[: seen.size] = seen
+    return grown
+
+
+class DailyIpSets(Sequence):
+    """One monitor's per-day observed addresses, as ids over an
+    :class:`AddressTable`.
+
+    Columnar recording appends ``(day, packed mask, count)`` entries: the
+    day's address arrays are registered once in the shared table (by
+    reference, or as a bundle loader for streamed days) and the entry keeps
+    only the bit-packed observation mask over the day's online peers.
+    Row-oriented recording interns its ``Set[str]`` into the same table.
+    Window queries (:meth:`last_seen`) work on ids; indexing decodes one
+    day back to a ``Set[str]`` for tests and the CLI.
+    """
+
+    def __init__(self, table: Optional[AddressTable] = None) -> None:
+        self.table = AddressTable() if table is None else table
+        self._entries: List[object] = []
+
+    def append(self, ip_set: Set[str]) -> None:
+        self._entries.append(self.table.intern(ip_set))
+
+    def append_day(self, view: DayView, selection: np.ndarray) -> None:
+        """Record the addresses of the day's peers under ``selection``."""
+        cols = view.columns
+        assert cols is not None
+        loader = getattr(view, "address_loader", None)
+        self.table.register_day(
+            cols.columns,
+            view.day,
+            loader if loader is not None else (cols.ip, cols.ipv6, cols.valid_ip),
+        )
+        self._entries.append((view.day, np.packbits(selection), cols.count))
+
+    def day_ids(self, index: int) -> np.ndarray:
+        """Address ids observed on recorded day ``index`` (may repeat)."""
+        entry = self._entries[index]
+        if isinstance(entry, np.ndarray):
+            return entry
+        day, packed_mask, count = entry  # type: ignore[misc]
+        rows, ids = self.table.day_ids(day)
+        mask = np.unpackbits(packed_mask, count=count).view(bool)
+        # np.compress, not ids[...]: boolean indexing measured ~3x slower.
+        return np.compress(mask[rows], ids)
+
+    def last_seen(
+        self, end: int, window: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Per address id: the latest day index in the ``window`` days
+        ending at ``end`` (inclusive) on which it was observed, else -1.
+
+        ``out`` (another monitor's result over the same table) is folded
+        in, so a censor's fleet reduces to one array.  The result covers
+        every id interned so far.
+        """
+        start = max(0, end - window + 1)
+        stop = min(end, len(self._entries) - 1)
+        # Intern the window's days before sizing the array.
+        days = [(index, self.day_ids(index)) for index in range(start, stop + 1)]
+        seen = _fit(out, len(self.table))
+        for index, ids in days:
+            seen[ids] = np.maximum(seen[ids], index)
+        return seen
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, index: int) -> Set[str]:  # type: ignore[override]
+        return self.table.decode(self.day_ids(index))
 
     def __repr__(self) -> str:
-        return f"DailyIpSets(days={len(self._items)})"
+        return f"DailyIpSets(days={len(self._entries)})"
 
 
 def _observed_mask(view: DayView, observed: Union[np.ndarray, Iterable[int]]) -> np.ndarray:
@@ -160,12 +297,13 @@ class MonitoringRouter:
         spec: MonitorSpec,
         collect_daily_ips: bool = False,
         collect_daily_peers: bool = False,
+        addresses: Optional[AddressTable] = None,
     ) -> None:
         self.spec = spec
         self.collect_daily_ips = collect_daily_ips
         self.collect_daily_peers = collect_daily_peers
         self.daily_observed_counts: List[int] = []
-        self.daily_ip_sets: DailyIpSets = DailyIpSets()
+        self.daily_ip_sets = DailyIpSets(addresses)
         self.daily_peer_sets: List[Set[bytes]] = []
         #: Row-path cumulative ids (columnar recording uses a mask instead).
         self._cumulative_ids: Set[bytes] = set()
@@ -179,6 +317,10 @@ class MonitoringRouter:
     @property
     def mode(self) -> MonitorMode:
         return self.spec.mode
+
+    @property
+    def addresses(self) -> AddressTable:
+        return self.daily_ip_sets.table
 
     @property
     def cumulative_peer_ids(self) -> Set[bytes]:
@@ -222,16 +364,7 @@ class MonitoringRouter:
         self._cumulative_mask[observed_global] = True
         self.daily_observed_counts.append(int(observed_global.size))
         if self.collect_daily_ips:
-            selection = mask & cols.valid_ip
-            loader = getattr(view, "address_loader", None)
-            if loader is not None:
-                self.daily_ip_sets.append_lazy(
-                    loader, np.packbits(selection), cols.count
-                )
-            else:
-                self.daily_ip_sets.append_deferred(
-                    cols.ip, cols.ipv6, np.packbits(selection), cols.count
-                )
+            self.daily_ip_sets.append_day(view, mask & cols.valid_ip)
         if self.collect_daily_peers:
             self.daily_peer_sets.append(set(cols.peer_ids[mask].tolist()))
 
@@ -258,19 +391,74 @@ class MonitoringRouter:
             return 0.0
         return float(np.mean(self.daily_observed_counts))
 
-    def ips_in_window(self, end_day_index: int, window_days: int) -> Set[str]:
-        """Union of IPs observed in the ``window_days`` days ending at
-        ``end_day_index`` (inclusive).  Requires ``collect_daily_ips``."""
+    def last_seen(
+        self,
+        end_day_index: int,
+        window_days: int,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Per address id: latest day in the window it was observed, else
+        -1 (see :meth:`DailyIpSets.last_seen`).  Requires
+        ``collect_daily_ips``."""
         if not self.collect_daily_ips:
             raise RuntimeError("daily IP collection was not enabled for this monitor")
         if window_days <= 0:
             raise ValueError("window_days must be positive")
-        start = max(0, end_day_index - window_days + 1)
-        union: Set[str] = set()
-        for day_index in range(start, end_day_index + 1):
-            if day_index < len(self.daily_ip_sets):
-                union.update(self.daily_ip_sets[day_index])
-        return union
+        return self.daily_ip_sets.last_seen(end_day_index, window_days, out)
+
+    def address_ids_in_window(self, end_day_index: int, window_days: int) -> np.ndarray:
+        """Sorted ids of the addresses observed in the ``window_days`` days
+        ending at ``end_day_index`` (inclusive)."""
+        return np.flatnonzero(self.last_seen(end_day_index, window_days) >= 0)
+
+    def ips_in_window(self, end_day_index: int, window_days: int) -> Set[str]:
+        """Union of IPs observed in the ``window_days`` days ending at
+        ``end_day_index`` (inclusive).  Requires ``collect_daily_ips``."""
+        return self.addresses.decode(
+            self.address_ids_in_window(end_day_index, window_days)
+        )
+
+
+@dataclass(frozen=True)
+class PeerAddresses:
+    """Observed address ids of a selection of peers, in CSR-like form.
+
+    Peer ``i`` owns ``ids[starts[i]:ends[i]]``: its IPv4 and IPv6
+    addresses over the whole campaign, as ids of ``table`` (may repeat).
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    ids: np.ndarray
+    table: AddressTable
+
+    @classmethod
+    def from_sets(
+        cls, table: AddressTable, address_sets: Sequence[Set[str]]
+    ) -> "PeerAddresses":
+        per_peer = [table.intern(addresses) for addresses in address_sets]
+        lengths = np.array([ids.size for ids in per_peer], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        ids = np.concatenate(per_peer) if per_peer else np.empty(0, dtype=np.int32)
+        return cls(starts=starts, ends=ends, ids=ids, table=table)
+
+    def __len__(self) -> int:
+        return int(self.starts.size)
+
+    def blocked_by(self, blacklist: np.ndarray) -> np.ndarray:
+        """Per peer: whether any of its addresses is set in ``blacklist``,
+        a boolean mask over the table's ids."""
+        hits = np.zeros(self.ids.size + 1, dtype=np.int64)
+        np.cumsum(blacklist[self.ids], out=hits[1:])
+        return hits[self.ends] > hits[self.starts]
+
+    def as_sets(self) -> List[Set[str]]:
+        """Per peer: its address strings (a decoder for tests)."""
+        return [
+            self.table.decode(self.ids[start:end])
+            for start, end in zip(self.starts.tolist(), self.ends.tolist())
+        ]
 
 
 @dataclass
@@ -521,17 +709,24 @@ class _LogAccumulator:
 
 
 class ObservationLog:
-    """Campaign-wide aggregation over the union of all monitoring routers."""
+    """Campaign-wide aggregation over the union of all monitoring routers.
 
-    def __init__(self) -> None:
+    ``addresses`` is the campaign's :class:`AddressTable`; the bridge
+    analyses read per-peer address histories as ids over it
+    (:meth:`known_ip_presence_on`, :meth:`known_ip_cohort`), interning the
+    address-event columns once per event count.
+    """
+
+    def __init__(self, addresses: Optional[AddressTable] = None) -> None:
+        self.addresses = AddressTable() if addresses is None else addresses
         self._peers_rows: Dict[bytes, PeerObservationAggregate] = {}
         self.daily: List[DailyStats] = []
         self._rows_recorded = False
         self._acc: Optional[_LogAccumulator] = None
         self._peers_cache: Optional[Dict[bytes, PeerObservationAggregate]] = None
         self._peers_cache_days = -1
-        self._addr_sets_cache: Optional[Dict[int, Set[str]]] = None
-        self._addr_sets_events = -1
+        self._event_addresses_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._event_addresses_count = -1
 
     @property
     def peers(self) -> Dict[bytes, PeerObservationAggregate]:
@@ -813,29 +1008,36 @@ class ObservationLog:
             groups.setdefault(peer, []).append(event)
         return groups
 
-    def _peer_address_sets(self) -> Dict[int, Set[str]]:
-        """Per-peer observed address set (IPv4 ∪ IPv6), cached per event count."""
+    def _event_addresses(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(peer row, address id) per captured address, sorted by peer row
+        (unset IPv6 slots dropped); cached per event count."""
         acc = self._acc
         assert acc is not None
         if (
-            self._addr_sets_cache is None
-            or self._addr_sets_events != acc.event_count
+            self._event_addresses_cache is None
+            or self._event_addresses_count != acc.event_count
         ):
-            sets: Dict[int, Set[str]] = {}
-            peers = acc.event_peer[: acc.event_count].tolist()
-            for event, peer in enumerate(peers):
-                addresses = sets.get(peer)
-                if addresses is None:
-                    addresses = sets[peer] = set()
-                ip = acc.event_ip[event]
-                if ip is not None:
-                    addresses.add(ip)
-                ipv6 = acc.event_ipv6[event]
-                if ipv6 is not None:
-                    addresses.add(ipv6)
-            self._addr_sets_cache = sets
-            self._addr_sets_events = acc.event_count
-        return self._addr_sets_cache
+            peers = acc.event_peer[: acc.event_count]
+            rows = np.concatenate((peers, peers))
+            ids = np.concatenate(
+                (self.addresses.intern(acc.event_ip), self.addresses.intern(acc.event_ipv6))
+            )
+            keep = ids >= 0
+            rows, ids = rows[keep], ids[keep]
+            order = np.argsort(rows, kind="stable")
+            self._event_addresses_cache = (rows[order], ids[order])
+            self._event_addresses_count = acc.event_count
+        return self._event_addresses_cache
+
+    def _peer_addresses(self, rows: np.ndarray) -> PeerAddresses:
+        """Campaign address ids of the given global peer rows."""
+        peer_rows, ids = self._event_addresses()
+        return PeerAddresses(
+            starts=np.searchsorted(peer_rows, rows, side="left"),
+            ends=np.searchsorted(peer_rows, rows, side="right"),
+            ids=ids,
+            table=self.addresses,
+        )
 
     def country_counts(self) -> Counter:
         """Observed peers per country (each peer counts once per country).
@@ -948,15 +1150,14 @@ class ObservationLog:
             "never_published_address": never_addressed,
         }
 
-    def known_ip_presence_on(
-        self, day: int
-    ) -> Tuple[np.ndarray, List[Set[str]]]:
-        """Known-IP peers observed on ``day``: (first days, address sets).
+    def known_ip_presence_on(self, day: int) -> Tuple[np.ndarray, PeerAddresses]:
+        """Known-IP peers observed on ``day``: (first days, address ids).
 
         Returns one entry per known-IP peer observed on ``day``: the day it
         was first observed, and its full observed address set (IPv4 ∪ IPv6
-        over the whole campaign).  The bridge analyses consume this without
-        materialising per-peer aggregates on columnar runs.
+        over the whole campaign) as ids over :attr:`addresses`.  The bridge
+        analyses consume this without materialising per-peer aggregates on
+        columnar runs.
         """
         if self._acc is None:
             first_days: List[int] = []
@@ -967,36 +1168,36 @@ class ObservationLog:
                     address_sets.append(
                         aggregate.ipv4_addresses | aggregate.ipv6_addresses
                     )
-            return np.asarray(first_days, dtype=np.int64), address_sets
+            return (
+                np.asarray(first_days, dtype=np.int64),
+                PeerAddresses.from_sets(self.addresses, address_sets),
+            )
         acc = self._acc
         size = acc.store.size
         if day < 0 or day >= acc.horizon:
-            return np.empty(0, dtype=np.int64), []
-        rows = np.nonzero(
-            acc.observed[:size, day] & (acc.ipv4_count[:size] > 0)
-        )[0]
-        sets_by_row = self._peer_address_sets()
-        return (
-            acc.first_day[rows].astype(np.int64),
-            [sets_by_row[row] for row in rows.tolist()],
-        )
+            rows = np.empty(0, dtype=np.int64)
+        else:
+            rows = np.nonzero(acc.observed[:size, day] & (acc.ipv4_count[:size] > 0))[0]
+        return acc.first_day[rows].astype(np.int64), self._peer_addresses(rows)
 
-    def known_ip_cohort_addresses(self, first_day: int) -> List[Set[str]]:
-        """Address sets of known-IP peers *first* observed on ``first_day``
+    def known_ip_cohort(self, first_day: int) -> PeerAddresses:
+        """Address ids of known-IP peers *first* observed on ``first_day``
         (the bridge-survival cohort)."""
         if self._acc is None:
-            return [
-                aggregate.ipv4_addresses | aggregate.ipv6_addresses
-                for aggregate in self.peers.values()
-                if aggregate.first_day == first_day and aggregate.has_known_ip
-            ]
+            return PeerAddresses.from_sets(
+                self.addresses,
+                [
+                    aggregate.ipv4_addresses | aggregate.ipv6_addresses
+                    for aggregate in self.peers.values()
+                    if aggregate.first_day == first_day and aggregate.has_known_ip
+                ],
+            )
         acc = self._acc
         size = acc.store.size
         rows = np.nonzero(
             (acc.first_day[:size] == first_day) & (acc.ipv4_count[:size] > 0)
         )[0]
-        sets_by_row = self._peer_address_sets()
-        return [sets_by_row[row] for row in rows.tolist()]
+        return self._peer_addresses(rows)
 
     def accumulator_memory_bytes(self) -> Tuple[int, int]:
         """(current, peak) accumulator array footprint in bytes (0 for

@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.campaign import validate_scale
 from ..core.scenario import (
     ScenarioSpec,
     get_scenario,
@@ -300,6 +301,7 @@ def plan_grid(spec: GridSpec) -> GridPlan:
         )
         # Plan-time validation: a cell the engine would reject must fail
         # here, before anything is enqueued.
+        validate_scale(scale)
         resolved = job.resolved_spec()
         digest = scenario_exposure_digest(resolved, scale=scale, seed=seed)
         jobs.append(replace(job, digest=digest))

@@ -404,12 +404,13 @@ class CachedExposure(SharedExposure):
             departures=reader.departures[day],
             columns=day_columns,
         )
-        # Streamed monitors defer IP-set materialisation through this hook
+        # Streamed monitors defer address interning through this hook
         # instead of pinning the day's decoded address arrays (see
-        # core.monitor.DailyIpSets.append_lazy).
+        # core.monitor.AddressTable.register_day).
         view.address_loader = lambda: (
             _decode_strings(np.asarray(reader.day_array(day, "ip"))),
             _decode_strings(np.asarray(reader.day_array(day, "ipv6"))),
+            np.asarray(reader.day_array(day, "valid_ip")),
         )
         draw = DayExposure(
             flood_exposed=np.asarray(reader.day_array(day, "flood")),

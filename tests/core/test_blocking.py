@@ -75,6 +75,16 @@ class TestBlockingAssessment:
         with pytest.raises(ValueError):
             blocking_assessment(result, router_count=1)
 
+    def test_counts_match_the_string_sets(self, small_campaign):
+        day = len(small_campaign.log.daily) - 1
+        assessment = blocking_assessment(small_campaign, router_count=4, window_days=3)
+        censor = censor_blacklist(small_campaign.monitors, 4, day, 3)
+        victim = victim_known_ips(small_campaign.victim, day, 2)
+        assert assessment.censor_ip_count == len(censor)
+        assert assessment.victim_ip_count == len(victim)
+        assert assessment.blocked_ip_count == len(censor & victim)
+        assert assessment.rate == blocking_rate(censor, victim)
+
     def test_as_dict(self, small_campaign):
         data = blocking_assessment(small_campaign, router_count=5).as_dict()
         assert set(data) >= {"router_count", "window_days", "rate", "victim_ip_count"}
@@ -132,6 +142,13 @@ class TestBlockingCurveIncrementalSemantics:
         too_many = len(small_campaign.monitors) + 1
         with pytest.raises(ValueError, match="censor has only"):
             blocking_curve(small_campaign, router_counts=[too_many], windows=(1,))
+
+    @pytest.mark.parametrize("windows", [(), (0,), (5, -1), (1.5,), ("5",), (True,)])
+    def test_bad_windows_rejected_before_any_work(self, windows):
+        # A bare object() as the result: any read before the check fails
+        # with AttributeError instead of the ValueError.
+        with pytest.raises(ValueError, match="window"):
+            blocking_curve(object(), windows=windows)
 
     def test_caller_order_and_duplicates_preserved(self, small_campaign):
         figure = blocking_curve(

@@ -28,6 +28,11 @@ class TestScaledConfig:
         with pytest.raises(ValueError):
             scaled_population_config(0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0, "x"])
+    def test_non_finite_or_non_numeric_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be a"):
+            scaled_population_config(scale)
+
 
 class TestCampaignConfigValidation:
     def test_days_must_fit_horizon(self):

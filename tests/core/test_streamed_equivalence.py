@@ -146,7 +146,7 @@ class TestStreamedEquivalence:
             for aggregate in log.peers.values()
             if aggregate.first_day == cohort_day and aggregate.has_known_ip
         ]
-        streamed = log.known_ip_cohort_addresses(cohort_day)
+        streamed = log.known_ip_cohort(cohort_day).as_sets()
         assert sorted(map(sorted, streamed)) == sorted(map(sorted, reference))
         figure = bridge_survival_curve(small_campaign, cohort_day=cohort_day)
         assert figure.figure_id == "ablation_bridges"

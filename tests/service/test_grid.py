@@ -139,6 +139,20 @@ class TestPlanGrid:
                 GridSpec(scenario="reseed_denial", axes=(GridAxis("days", (2,)),))
             )
 
+    @pytest.mark.parametrize("scale", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_bad_scale_axis_fails_at_plan_time(self, scale):
+        with pytest.raises(ValueError, match="scale must be a positive finite number"):
+            plan_grid(
+                GridSpec(
+                    scenario="prefix-blocking",
+                    axes=(GridAxis("scale", (0.05, scale)),),
+                )
+            )
+
+    def test_bad_base_scale_fails_for_message_level_kinds_too(self):
+        with pytest.raises(ValueError, match="scale must be a positive finite number"):
+            plan_grid(GridSpec(scenario="netdb-scale", scale=float("nan")))
+
     def test_non_numeric_run_axis_fails_at_plan_time(self):
         with pytest.raises(ValueError, match="days"):
             plan_grid(

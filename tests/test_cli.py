@@ -136,6 +136,16 @@ class TestRunCommand:
         assert exit_code == 2
         assert "main_campaign" in captured.err
 
+    @pytest.mark.parametrize("scale", ["nan", "0", "-1", "inf"])
+    def test_bad_scale_is_a_one_line_usage_error(self, capsys, scale):
+        exit_code = main(["--scale", scale, "run", "main_campaign"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"scale must be a positive finite number (got {float(scale)!r})"
+        ]
+
 
 class TestCacheCommandAndReuse:
     def test_second_run_hits_disk_cache(self, capsys):
