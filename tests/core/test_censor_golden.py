@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from repro.core.bridges import bridge_pool_summary
+from repro.core.bridges import bridge_pool_summary, bridge_survival_curve
 from repro.core.scenario import run_scenario
 from repro.service.store import canonical_json
 from repro.sim.exposure import ExposureEngine
@@ -26,6 +26,7 @@ GOLDEN = {
     "bridge_pool": "b6bcb37ae72618d7c05e715dc84154bdb66dc476ada1304651fd79bc33086d6d",
     "bridge_pool_weak_censor": "1c123eefc67f0932446c3f0ba18f20f9aec1684e75854eb022120a94707788f9",
     "ablation_bridges": "25775fd0ea13e578d9284f850822671c43f1c42778a825bd0bd7648dd34e92bc",
+    "ablation_bridges_short_window": "f73721e241096227f4afaeefed9a24c282622d77cf49f40c5b82664a3a63557b",
     "scenario_prefix_blocking": "d5cc3a9cd8f55b3218e12449261025801559bab6ad90b7298509eaf6faa5bfa2",
 }
 
@@ -70,6 +71,19 @@ class TestCensorGolden:
                 bridge_pool_summary(
                     out.campaign, censor_routers=1, blacklist_window_days=1
                 ).as_dict()
+            ),
+            # A window shorter than the survival horizon lets peers drop
+            # off the blacklist again, which the default 30 days never does.
+            "ablation_bridges_short_window": _digest(
+                _figure_payload(
+                    bridge_survival_curve(
+                        out.campaign,
+                        censor_routers=3,
+                        blacklist_window_days=2,
+                        cohort_day=2,
+                        horizon_days=7,
+                    )
+                )
             ),
         }
         assert digests == {name: GOLDEN[name] for name in digests}
